@@ -59,8 +59,10 @@ bool spans_write_chrome(const std::string& path);
 
 // --- workload profile and inputs (inputs.cpp) --------------------------------
 /// One workload's shapes, model and time split. Every workload runs the same
-/// five phases (batches, lone maps, wire, transfer rounds) in its own terms;
-/// the profile decides sizes and how the run's seconds are shared.
+/// phases (batches, lone maps, wire, transfer rounds) in its own terms; the
+/// profile decides sizes and how the run's seconds are shared. The run is cut
+/// into `cycles` equal slices and each slice runs every phase for its share,
+/// so each metric samples the whole run rather than one stretch of it.
 struct Profile {
   std::string name;
   std::string model;       // model-zoo name
@@ -71,6 +73,8 @@ struct Profile {
   double wire_lo_share = 0.75;
   int n_lo = 0;            // low-fidelity samples per transfer round
   int n_hi = 0;            // high-fidelity samples per transfer round
+  int cycles = 1;          // slices of the run, each running every phase
+  int wire_rate_window = 64;  // completions per wire_rps window
   // Shares of --seconds per phase (sum to 1).
   double share_batches = 0.0;
   double share_single = 0.0;

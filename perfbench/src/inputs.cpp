@@ -46,6 +46,10 @@ bool profile_for(const std::string& workload, Profile* out) {
     p.wire_lo_share = 1.0;
     p.n_lo = 8;
     p.n_hi = 1;
+    // A batch takes about 1.3 s and a transfer round about 2.5 s, so a
+    // 10 s slice holds a few rounds of each.
+    p.cycles = 4;
+    p.wire_rate_window = 16;
     p.share_batches = 0.5;
     p.share_single = 0.15;
     p.share_wire = 0.1;
@@ -62,9 +66,14 @@ bool profile_for(const std::string& workload, Profile* out) {
     p.grid_hi = 16;
     p.n_lo = 16;
     p.n_hi = 8;
-    p.share_batches = 0.1;
+    // A batch of 8 tiny maps is a few ms of thread hand-offs, whose speed
+    // swings with the shared host from second to second; a fifth of the
+    // run keeps its median steady.
+    p.cycles = 10;
+    p.wire_rate_window = 64;
+    p.share_batches = 0.2;
     p.share_single = 0.1;
-    p.share_wire = 0.6;
+    p.share_wire = 0.5;
     p.share_transfer = 0.2;
   } else {
     return false;

@@ -74,21 +74,32 @@ int main(int argc, char** argv) {
     setup_serving(p, seed, &s);
     const double setup_s = ms_since(g_process_start) * 1e-3;
 
+    // Every slice runs every phase for its share, so a slow stretch of the
+    // host lands on a few rounds of each metric, not on all of one.
+    const double slice = seconds / p.cycles;
+    std::vector<double> batch_ms, single_ms;
+    TransferRound transfer;  // summed over every round of the run
     std::vector<Tensor> first_batch;
-    const auto batch_ms = run_batches(s, seconds * p.share_batches, &first_batch);
-    const auto single_ms = run_single(s, seconds * p.share_single, first_batch);
+    WireTotals wire;
+    std::uint64_t transfer_rounds = 0;
     const auto before = s.wire_engine->stats();
-    const WireResult wire = run_wire(p, s, seed, seconds * p.share_wire);
-    const auto after = s.wire_engine->stats();
-
-    std::vector<double> fdm_rate, train_rate;
-    const auto t_end = Clock::now() + std::chrono::duration<double>(seconds * p.share_transfer);
-    for (std::uint64_t r = 0; r == 0 || Clock::now() < t_end; ++r) {
-      const TransferRound tr = run_transfer_round(p, seed * 1000 + r);
-      ++tally().attempted;
-      fdm_rate.push_back(tr.fdm_solves / tr.fdm_seconds);
-      train_rate.push_back(tr.train_samples / tr.train_seconds);
+    for (int c = 0; c < p.cycles; ++c) {
+      const bool first = c == 0;
+      run_batches(s, slice * p.share_batches, &batch_ms, first ? &first_batch : nullptr);
+      run_single(s, slice * p.share_single, first ? kBatch : 1, first ? &first_batch : nullptr,
+                 &single_ms);
+      run_wire(p, s, seed, static_cast<std::uint64_t>(c), slice * p.share_wire, &wire);
+      const auto t_end = Clock::now() + std::chrono::duration<double>(slice * p.share_transfer);
+      for (bool once = true; once || Clock::now() < t_end; once = false) {
+        const TransferRound tr = run_transfer_round(p, seed * 1000 + transfer_rounds++);
+        ++tally().attempted;
+        transfer.fdm_solves += tr.fdm_solves;
+        transfer.fdm_seconds += tr.fdm_seconds;
+        transfer.train_samples += tr.train_samples;
+        transfer.train_seconds += tr.train_seconds;
+      }
     }
+    const auto after = s.wire_engine->stats();
 
     const double batch_med = median(batch_ms);
     e2e = {
@@ -96,14 +107,17 @@ int main(int argc, char** argv) {
         {"peak_rss_mb", peak_rss_mb(), "MB"},
         {"steady_maps_per_s", kBatch * 1e3 / batch_med, "maps/s"},
         {"single_map_ms", median(single_ms), "ms"},
-        {"wire_rps", wire.rps, "req/s"},
-        {"wire_p50_ms", wire.p50_ms, "ms"},
-        {"fdm_solves_per_s", median(fdm_rate), "solves/s"},
-        {"train_samples_per_s", median(train_rate), "samples/s"},
+        {"wire_rps", median(wire.rates), "req/s"},
+        {"wire_p50_ms", median(wire.latency_ms), "ms"},
+        // A run holds only a few transfer rounds on steady_b8_64, too few
+        // for a steady median: these are total work over total time.
+        {"fdm_solves_per_s", transfer.fdm_solves / transfer.fdm_seconds, "solves/s"},
+        {"train_samples_per_s", transfer.train_samples / transfer.train_seconds, "samples/s"},
     };
-    std::fprintf(stderr, "rounds: %zu batches, %zu lone maps, %lld wire requests, %zu transfer\n",
-                 batch_ms.size(), single_ms.size(), static_cast<long long>(wire.requests),
-                 fdm_rate.size());
+    std::fprintf(stderr, "rounds in %d slices: %zu batches, %zu lone maps, %lld wire requests, "
+                 "%zu transfer\n", p.cycles, batch_ms.size(), single_ms.size(),
+                 static_cast<long long>(wire.requests),
+                 static_cast<std::size_t>(transfer_rounds));
 
     check_attention(p, seed);
     check_fdm_physics(p, seed);

@@ -1,7 +1,8 @@
 // The timed phases every workload runs: engine batches, lone maps, closed-
-// loop wire serving and transfer-learning rounds. Each phase repeats whole
-// rounds of the same operation until its share of the run's seconds is
-// spent, and reports medians over rounds.
+// loop wire serving and transfer-learning rounds. Each call runs one slice
+// of a phase: whole rounds of the same operation until the slice's budget
+// is spent. The results of every slice are pooled, and reported as medians
+// over rounds.
 #include <algorithm>
 #include <cstdio>
 #include <deque>
@@ -66,6 +67,7 @@ std::vector<Tensor> submit_all(rt::InferenceEngine& e, const std::vector<Tensor>
 }  // namespace
 
 Serving::~Serving() {
+  for (auto& c : clients) c.close();
   if (server) server->stop();
 }
 
@@ -107,8 +109,8 @@ void setup_serving(const Profile& p, std::uint64_t seed, Serving* s) {
     (void)submit_all(*s->wire_engine, s->wire_lo, 0, b);
     if (p.wire_lo_share < 1.0) (void)submit_all(*s->wire_engine, s->wire_hi, 0, b);
   }
-  {
-    serve::Client c;
+  s->clients.resize(static_cast<std::size_t>(kConns));
+  for (serve::Client& c : s->clients) {
     c.connect("127.0.0.1", s->server->port());
     for (int i = 0; i < kWindow; ++i) c.send_infer(s->wire_lo[static_cast<std::size_t>(i) % s->wire_lo.size()]);
     for (int i = 0; i < kWindow; ++i) (void)c.recv_response();
@@ -116,9 +118,8 @@ void setup_serving(const Profile& p, std::uint64_t seed, Serving* s) {
   }
 }
 
-std::vector<double> run_batches(Serving& s, double budget_s,
-                                std::vector<Tensor>* first) {
-  std::vector<double> ms;
+void run_batches(Serving& s, double budget_s, std::vector<double>* ms,
+                 std::vector<Tensor>* first) {
   const auto end = Clock::now() + std::chrono::duration<double>(budget_s);
   for (std::size_t r = 0; r == 0 || Clock::now() < end; ++r) {
     const auto t0 = Clock::now();
@@ -127,59 +128,55 @@ std::vector<double> run_batches(Serving& s, double budget_s,
       Span span("runtime.engine.batch");
       out = submit_all(*s.engine, s.maps_hi, r * static_cast<std::size_t>(kBatch), kBatch);
     }
-    ms.push_back(ms_since(t0));
+    ms->push_back(ms_since(t0));
     for (const Tensor& t : out) check(t.defined() && all_finite(t), "batch output not finite");
-    if (r == 0) *first = std::move(out);
+    if (r == 0 && first != nullptr) *first = std::move(out);
   }
-  return ms;
 }
 
-std::vector<double> run_single(Serving& s, double budget_s,
-                               const std::vector<Tensor>& batch_out) {
-  std::vector<double> ms;
+void run_single(Serving& s, double budget_s, std::size_t min_rounds,
+                const std::vector<Tensor>* batch_out, std::vector<double>* ms) {
   const auto end = Clock::now() + std::chrono::duration<double>(budget_s);
-  for (std::size_t r = 0; r < static_cast<std::size_t>(kBatch) || Clock::now() < end; ++r) {
+  for (std::size_t r = 0; r < min_rounds || Clock::now() < end; ++r) {
     const auto t0 = Clock::now();
     std::vector<Tensor> out;
     {
       Span span("runtime.engine.single");
       out = submit_all(*s.engine, s.maps_hi, r, 1);
     }
-    ms.push_back(ms_since(t0));
+    ms->push_back(ms_since(t0));
     const Tensor& y = out[0];
     check(y.defined() && all_finite(y), "lone-map output not finite");
     // The first lone maps are the maps of the first engine batch: a map's
     // result must not depend on the batch it was served in.
-    if (r < batch_out.size() && y.defined() && batch_out[r].defined()) {
-      check(rel_max_diff(y, batch_out[r]) <= kServeTol,
+    if (batch_out != nullptr && r < batch_out->size() && y.defined() &&
+        (*batch_out)[r].defined()) {
+      check(rel_max_diff(y, (*batch_out)[r]) <= kServeTol,
             "lone-map result differs from its batched result");
     }
   }
-  return ms;
 }
 
-WireResult run_wire(const Profile& p, Serving& s, std::uint64_t seed, double budget_s) {
-  WireResult res;
+void run_wire(const Profile& p, Serving& s, std::uint64_t seed, std::uint64_t stream,
+              double budget_s, WireTotals* out) {
   std::vector<std::vector<double>> lat(static_cast<std::size_t>(kConns));
   std::vector<int64_t> done(static_cast<std::size_t>(kConns), 0);
   std::vector<int64_t> bad(static_cast<std::size_t>(kConns), 0);
   std::vector<int64_t> lost(static_cast<std::size_t>(kConns), 0);
   std::vector<std::vector<Clock::time_point>> done_at(static_cast<std::size_t>(kConns));
-  const auto t0 = Clock::now();
-  const auto end = t0 + std::chrono::duration<double>(budget_s);
+  const auto end = Clock::now() + std::chrono::duration<double>(budget_s);
   std::vector<std::thread> threads;
   for (int ci = 0; ci < kConns; ++ci) {
     threads.emplace_back([&, ci] {
       const std::size_t c = static_cast<std::size_t>(ci);
       Span span("wire.connection");
-      saufno::Rng rng(seed * 104729 + c);
+      saufno::Rng rng((seed * 104729 + stream) * kConns + c);
       struct Pending {
         const Tensor* ref;
         Clock::time_point sent;
       };
       std::deque<Pending> inflight;
-      serve::Client client;
-      client.connect("127.0.0.1", s.server->port());
+      serve::Client& client = s.clients[c];
       bool sending = true;
       try {
         while (true) {
@@ -208,33 +205,30 @@ WireResult run_wire(const Profile& p, Serving& s, std::uint64_t seed, double bud
     });
   }
   for (auto& t : threads) t.join();
-  std::vector<double> all;
   std::vector<Clock::time_point> times;
   for (std::size_t c = 0; c < lat.size(); ++c) {
-    all.insert(all.end(), lat[c].begin(), lat[c].end());
-    res.requests += done[c];
+    out->latency_ms.insert(out->latency_ms.end(), lat[c].begin(), lat[c].end());
+    out->requests += done[c];
     tally().attempted += done[c] + lost[c];
     tally().failed += lost[c];
     check(bad[c] == 0, "wire response differs from the in-process forward");
     check(lost[c] == 0, "wire requests left unanswered");
     times.insert(times.end(), done_at[c].begin(), done_at[c].end());
   }
-  // Throughput is the median over windows of kWindow consecutive
-  // completions, so a stall of the whole machine moves one window, not the
-  // figure.
-  constexpr std::size_t kWindow = 64;
+  // Throughput is taken over windows of consecutive completions, so a
+  // stall of the whole machine moves one window, not the figure. A slice
+  // too short for two windows gives one rate over all its completions.
+  const std::size_t w = static_cast<std::size_t>(p.wire_rate_window);
   std::sort(times.begin(), times.end());
-  std::vector<double> rates;
-  for (std::size_t k = kWindow; k < times.size(); k += kWindow) {
-    rates.push_back(kWindow / std::chrono::duration<double>(times[k] - times[k - kWindow]).count());
+  const std::size_t before = out->rates.size();
+  for (std::size_t k = w; k < times.size(); k += w) {
+    out->rates.push_back(w / std::chrono::duration<double>(times[k] - times[k - w]).count());
   }
-  if (rates.empty() && !times.empty()) {
-    rates.push_back(static_cast<double>(times.size()) /
-                    std::chrono::duration<double>(times.back() - t0).count());
+  if (out->rates.size() < before + 2 && times.size() > 1) {
+    out->rates.resize(before);
+    out->rates.push_back(static_cast<double>(times.size() - 1) /
+                         std::chrono::duration<double>(times.back() - times.front()).count());
   }
-  res.rps = median(rates);
-  res.p50_ms = median(all);
-  return res;
 }
 
 TransferRound run_transfer_round(const Profile& p, std::uint64_t seed) {

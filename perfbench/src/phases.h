@@ -6,6 +6,7 @@
 
 #include "bench.h"
 #include "runtime/inference_engine.h"
+#include "serve/client.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
 
@@ -23,31 +24,39 @@ struct Serving {
   std::shared_ptr<saufno::runtime::InferenceEngine> wire_engine;
   std::shared_ptr<saufno::serve::Fleet> fleet;
   std::unique_ptr<saufno::serve::Server> server;
+  std::vector<saufno::serve::Client> clients;  // kConns, connected in set-up
   ~Serving();
 };
 
-/// Build both engines, start the server, make the wire references and warm
-/// every served shape. Everything up to the first timed operation.
+/// Build both engines, start the server, connect the wire clients, make the
+/// wire references and warm every served shape. Everything up to the first
+/// timed operation.
 void setup_serving(const Profile& p, std::uint64_t seed, Serving* s);
 
-/// Batches of `kBatch` maps submitted together; per-batch milliseconds.
-/// `first` receives the first batch's results.
-std::vector<double> run_batches(Serving& s, double budget_s,
-                                std::vector<Tensor>* first);
-/// Lone maps, submit to kelvin result; per-map milliseconds. The first
-/// `kBatch` maps are the first batch's, and must give the same results.
-std::vector<double> run_single(Serving& s, double budget_s,
-                               const std::vector<Tensor>& batch_out);
+/// Batches of `kBatch` maps submitted together, at least one, until
+/// `budget_s` is spent; appends per-batch milliseconds to `ms`. When `first`
+/// is non-null it receives the first batch's results.
+void run_batches(Serving& s, double budget_s, std::vector<double>* ms,
+                 std::vector<Tensor>* first);
+/// Lone maps, submit to kelvin result, at least `min_rounds`, until
+/// `budget_s` is spent; appends per-map milliseconds to `ms`. The first
+/// lone maps are the first batch's maps: when `batch_out` is non-null each
+/// must give its batched result.
+void run_single(Serving& s, double budget_s, std::size_t min_rounds,
+                const std::vector<Tensor>* batch_out, std::vector<double>* ms);
 
-struct WireResult {
+/// What the wire slices of one run add up to.
+struct WireTotals {
   int64_t requests = 0;
-  double rps = 0.0;     // median over windows of consecutive completions
-  double p50_ms = 0.0;  // median client round trip
+  std::vector<double> latency_ms;  // every client round trip
+  std::vector<double> rates;       // completions per second, per window
 };
-/// Closed loop over TCP loopback: `kConns` clients keep `kWindow`
-/// requests in flight, drawing grid_lo maps with probability
-/// `p.wire_lo_share`; every response is checked against its reference.
-WireResult run_wire(const Profile& p, Serving& s, std::uint64_t seed, double budget_s);
+/// One slice of closed-loop traffic over TCP loopback: the `kConns` clients
+/// keep `kWindow` requests in flight, drawing grid_lo maps with probability
+/// `p.wire_lo_share` (stream `stream` of `seed`), then drain. Every response
+/// is checked against its reference.
+void run_wire(const Profile& p, Serving& s, std::uint64_t seed, std::uint64_t stream,
+              double budget_s, WireTotals* out);
 
 struct TransferRound {
   int fdm_solves = 0;
